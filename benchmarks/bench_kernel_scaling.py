@@ -1,16 +1,14 @@
-"""Kernel scaling: events/sec at 100/1k/10k HAUs x scheduler x batching.
+"""Kernel scaling: events/sec at 100/1k/10k HAUs x batching.
 
 One synthetic aligned-chain app (S -> W -> A -> K, equal replicas) is
-run at three sizes under every {heap, calendar} x {unbatched, batched}
-combination, timing the ``env.run`` phase only (graph construction is
-the same work in every mode and would dilute the ratios).  Recorded
-per cell: wall seconds, kernel events popped, tuples processed, and
-the derived events/sec + tuples/sec rates.
+run at three sizes, unbatched and batched, timing the ``env.run`` phase
+only (graph construction is the same work in every mode and would
+dilute the ratios).  Recorded per cell: wall seconds, kernel events
+popped, tuples processed, and the derived events/sec + tuples/sec rates.
 
 Hard assertions are determinism facts: the same tuples drain in every
-mode at a given size, the two schedulers pop identical event counts
-for the same configuration, and batching strictly reduces the kernel
-event count.  The *rates* are host-dependent and therefore gated
+mode at a given size, and batching strictly reduces the kernel event
+count.  The *rates* are host-dependent and therefore gated
 warn-only by ``check_regression.py --scaling`` against the committed
 ``benchmarks/BENCH_scaling_baseline.json`` — including the headline
 claim that batched mode sustains >= 3x the unbatched tuple throughput
@@ -27,11 +25,10 @@ from repro.dsps.runtime import CheckpointScheme, DSPSRuntime, RuntimeConfig
 from repro.simulation.core import Environment
 
 SIZES = (100, 1_000, 10_000)  # total HAUs (4 stages x replicas)
-SCHEDULERS = ("heap", "calendar")
 QUANTA = (0.0, 0.25)
 WINDOW = 1.25  # covers the 0.12 s burst plus three quantum-deep flush waves
 
-# repeat cheap cells to shed scheduler noise; the 10k cells run once
+# repeat cheap cells to shed host noise; the 10k cells run once
 ROUNDS = {100: 3, 1_000: 2, 10_000: 1}
 
 
@@ -52,7 +49,7 @@ def _topology(replicas: int) -> dict:
     }
 
 
-def _run_cell(haus: int, scheduler: str, quantum: float) -> dict:
+def _run_cell(haus: int, quantum: float) -> dict:
     replicas = haus // 4
     best_wall = float("inf")
     popped = set()
@@ -60,7 +57,7 @@ def _run_cell(haus: int, scheduler: str, quantum: float) -> dict:
     build_wall = 0.0
     for _ in range(ROUNDS[haus]):
         t0 = time.perf_counter()  # repro-lint: disable=DET001 (host timing, not simulated)
-        env = Environment(scheduler=scheduler)
+        env = Environment()
         app = build(seed=1, topology=_topology(replicas))
         rt = DSPSRuntime(
             env,
@@ -94,7 +91,6 @@ def _run_cell(haus: int, scheduler: str, quantum: float) -> dict:
     n_popped = popped.pop()
     return {
         "haus": haus,
-        "scheduler": scheduler,
         "batch_quantum": quantum,
         "wall_seconds": best_wall,
         "build_seconds": build_wall,
@@ -107,12 +103,11 @@ def _run_cell(haus: int, scheduler: str, quantum: float) -> dict:
 
 def test_kernel_scaling(write_artifact):
     cells = [
-        _run_cell(haus, scheduler, quantum)
+        _run_cell(haus, quantum)
         for haus in SIZES
-        for scheduler in SCHEDULERS
         for quantum in QUANTA
     ]
-    by_key = {(c["haus"], c["scheduler"], c["batch_quantum"]): c for c in cells}
+    by_key = {(c["haus"], c["batch_quantum"]): c for c in cells}
 
     speedups = []
     for haus in SIZES:
@@ -120,36 +115,26 @@ def test_kernel_scaling(write_artifact):
         drained = {c["tuples"] for c in cells if c["haus"] == haus}
         assert len(drained) == 1, f"{haus} HAUs: tuple drain varied: {drained}"
         assert drained.pop() == 3 * 24 * (haus // 4)  # W + A + K, full drain
-        for quantum in QUANTA:
-            # scheduler equivalence: same event count, only its cost differs
-            heap_c = by_key[(haus, "heap", quantum)]
-            cal_c = by_key[(haus, "calendar", quantum)]
-            assert heap_c["events_popped"] == cal_c["events_popped"], (
-                f"{haus} HAUs q={quantum}: calendar popped "
-                f"{cal_c['events_popped']} vs heap {heap_c['events_popped']}"
-            )
-        for scheduler in SCHEDULERS:
-            unb = by_key[(haus, scheduler, 0.0)]
-            bat = by_key[(haus, scheduler, QUANTA[1])]
-            assert bat["events_popped"] < unb["events_popped"]
-            speedups.append({
-                "haus": haus,
-                "scheduler": scheduler,
-                "batched_speedup": bat["tuples_per_sec"] / unb["tuples_per_sec"],
-                "event_reduction": unb["events_popped"] / bat["events_popped"],
-            })
+        unb = by_key[(haus, 0.0)]
+        bat = by_key[(haus, QUANTA[1])]
+        assert bat["events_popped"] < unb["events_popped"]
+        speedups.append({
+            "haus": haus,
+            "batched_speedup": bat["tuples_per_sec"] / unb["tuples_per_sec"],
+            "event_reduction": unb["events_popped"] / bat["events_popped"],
+        })
 
-    header = f"{'haus':>6} {'sched':>8} {'quantum':>7} {'wall':>7} {'popped':>9} {'ev/s':>10} {'tup/s':>9}"
+    header = f"{'haus':>6} {'quantum':>7} {'wall':>7} {'popped':>9} {'ev/s':>10} {'tup/s':>9}"
     lines = [header]
     for c in cells:
         lines.append(
-            f"{c['haus']:>6} {c['scheduler']:>8} {c['batch_quantum']:>7.2f} "
+            f"{c['haus']:>6} {c['batch_quantum']:>7.2f} "
             f"{c['wall_seconds']:>6.2f}s {c['events_popped']:>9} "
             f"{c['events_per_sec']:>10,.0f} {c['tuples_per_sec']:>9,.0f}"
         )
     for s in speedups:
         lines.append(
-            f"  {s['haus']} HAUs / {s['scheduler']}: batched {s['batched_speedup']:.2f}x "
+            f"  {s['haus']} HAUs: batched {s['batched_speedup']:.2f}x "
             f"tuple throughput, {s['event_reduction']:.2f}x fewer kernel events"
         )
     print("\n" + "\n".join(lines))

@@ -1,6 +1,7 @@
 """Unit tests for the CI regression gate (benchmarks/check_regression.py):
-throughput gate, the latency gate and its dedicated exit code, and
-backward compatibility with latency-less baselines."""
+throughput gate, the latency gate and its dedicated exit code,
+backward compatibility with latency-less baselines, and the warn-only
+kernel and scaling gates."""
 
 import importlib.util
 import json
@@ -326,3 +327,80 @@ def test_non_dict_cell_exits_4(tmp_path, capsys):
         == check_regression.EXIT_BAD_BASELINE
     )
     assert "cells[0] is not an object" in capsys.readouterr().err
+
+
+# -- kernel scaling gate (warn-only) ------------------------------------------
+
+_SCALING_BASELINE = _MOD_PATH.parent / "BENCH_scaling_baseline.json"
+
+
+def _scaling(speedup=4.0, mode="fast", haus=(100, 10_000), quanta=(0.0, 0.25)):
+    cells = [
+        {"haus": h, "batch_quantum": q, "events_popped": 1000 if q else 9000,
+         "tuples_per_sec": 50_000.0 if q else 12_500.0}
+        for h in haus
+        for q in quanta
+    ]
+    speedups = [
+        {"haus": h, "batched_speedup": speedup, "event_reduction": 9.0}
+        for h in haus
+    ]
+    return {"mode": mode, "window_seconds": 1.25, "cells": cells, "speedups": speedups}
+
+
+def _with_scaling(tmp_path, base_scaling, cur_scaling):
+    cur_path = _write(tmp_path, "cur.json", _report([_cell()]))
+    base_path = _write(tmp_path, "base.json", _report([_cell()]))
+    (tmp_path / "BENCH_kernel_scaling.json").write_text(json.dumps(cur_scaling))
+    scaling_base = _write(tmp_path, "scaling_base.json", base_scaling)
+    return [cur_path, "--baseline", base_path, "--scaling-baseline", scaling_base]
+
+
+def test_scaling_identical_reports_are_silent(tmp_path, capsys):
+    argv = _with_scaling(tmp_path, _scaling(), _scaling())
+    assert check_regression.main(argv) == check_regression.EXIT_OK
+    assert "scaling:" not in capsys.readouterr().out
+
+
+def test_scaling_speedup_below_floor_is_warn_only(tmp_path, capsys):
+    argv = _with_scaling(tmp_path, _scaling(), _scaling(speedup=2.5))
+    assert check_regression.main(argv) == check_regression.EXIT_OK
+    out = capsys.readouterr().out
+    assert "scaling: 10000 HAUs batched speedup 2.50x below --scaling-speedup-floor 3x" in out
+    # raising the floor above a healthy speedup warns the same way
+    argv = _with_scaling(tmp_path, _scaling(), _scaling())
+    argv += ["--scaling-speedup-floor", "5"]
+    assert check_regression.main(argv) == check_regression.EXIT_OK
+    assert "below --scaling-speedup-floor 5x" in capsys.readouterr().out
+
+
+def test_scaling_missing_cell_warns(tmp_path, capsys):
+    argv = _with_scaling(tmp_path, _scaling(), _scaling(quanta=(0.0,)))
+    assert check_regression.main(argv) == check_regression.EXIT_OK
+    out = capsys.readouterr().out
+    assert "scaling: 100/q=0.25 missing from current report" in out
+    assert "scaling: 10000/q=0.25 missing from current report" in out
+    assert "scaling: 100/q=0.0 missing" not in out
+
+
+def test_scaling_mode_mismatch_skips_comparison():
+    warnings = check_regression.compare_scaling(
+        _scaling(speedup=1.0, quanta=(0.0,), mode="full"), _scaling(),
+        wall_tolerance=0.5, speedup_floor=3.0,
+    )
+    assert len(warnings) == 1
+    assert "mode mismatch" in warnings[0] and "comparison skipped" in warnings[0]
+
+
+def test_checked_in_scaling_baseline_has_one_cell_per_size_and_quantum():
+    with open(_SCALING_BASELINE, encoding="utf-8") as fh:
+        baseline = json.load(fh)
+    keys = [(c["haus"], c["batch_quantum"]) for c in baseline["cells"]]
+    assert sorted(keys) == [
+        (h, q) for h in (100, 1_000, 10_000) for q in (0.0, 0.25)
+    ]
+    assert sorted(s["haus"] for s in baseline["speedups"]) == [100, 1_000, 10_000]
+    # the checked-in baseline compared against itself raises nothing
+    assert check_regression.compare_scaling(
+        baseline, baseline, wall_tolerance=0.5, speedup_floor=3.0
+    ) == []

