@@ -6,14 +6,17 @@ invariants that ordinary linters do not know about: model code must
 never read the wall clock, every random draw must come from the seeded
 ``repro.simulation.rng`` streams, export paths must not iterate
 unordered collections, simulation processes must only yield engine
-events, checkpoint schemes must implement their hook protocol, and the
-metric/trace name inventory must stay in sync with DESIGN.md.
+events, and checkpoint schemes must implement their hook protocol.
 
 ``python -m repro.analysis`` walks ``src/``, ``benchmarks/`` and
 ``examples/`` once with a shared visitor and dispatches each AST node to
-the registered rules; cross-file rules (schema sync, protocol checks)
-accumulate state and report during a finalize phase.  See
-``python -m repro.analysis --list-rules`` for the rule inventory.
+the registered rules; cross-file rules (protocol checks, the
+interprocedural taint rules) accumulate state and report during a
+finalize phase.  See ``python -m repro.analysis --list-rules`` for the
+rule inventory.  The vocabularies DESIGN.md tabulates (trace kinds,
+metrics, SLO kinds, health states, scenario fields, checkpoint phases)
+are declared once in code; ``python -m repro.analysis.doctables``
+renders the tables from those declarations.
 """
 
 from repro.analysis.baseline import Baseline, load_baseline, write_baseline
@@ -25,11 +28,7 @@ from repro.analysis.registry import Rule, all_rules, get_rule, register
 from repro.analysis import (  # noqa: F401  (registration side effect)
     determinism,
     flow,
-    inspect_rule,
-    monitor_rule,
     protocol,
-    schema,
-    scenarios,
 )
 
 __all__ = [

@@ -1,11 +1,10 @@
 """The repro-lint command line.
 
-``python -m repro.analysis [--strict] [--format json|text|github]
+``python -m repro.analysis [--format json|text|github]
 [--baseline FILE] [--write-baseline FILE] [--include-dirs DIRS]
 [--call-graph FILE] [--list-rules] [DIRS...]``
 
-Exit codes: 0 — clean (errors gate by default; ``--strict`` gates
-warnings too); 1 — at least one gating finding survived baseline and
+Exit codes: 0 — clean; 1 — at least one finding survived baseline and
 inline suppression; 2 — usage or internal error.
 """
 
@@ -18,7 +17,7 @@ from pathlib import Path
 
 from repro.analysis.baseline import baseline_from_findings, load_baseline, write_baseline
 from repro.analysis.engine import DEFAULT_DIRS, AnalysisConfig, run_analysis
-from repro.analysis.findings import Finding, Severity
+from repro.analysis.findings import Finding
 from repro.analysis.registry import all_rules
 
 REPORT_VERSION = 1
@@ -49,7 +48,6 @@ def report_dict(
     project,
     findings: list[Finding],
     suppressed: int,
-    strict: bool,
     stale_baseline: list[dict] | None = None,
 ) -> dict:
     counts: dict[str, int] = {}
@@ -57,7 +55,6 @@ def report_dict(
         counts[f.rule] = counts.get(f.rule, 0) + 1
     return {
         "version": REPORT_VERSION,
-        "strict": strict,
         "dirs": list(project.config.dirs),
         "extra_dirs": list(project.config.extra_dirs),
         "files_scanned": project.files_scanned,
@@ -77,20 +74,11 @@ def _github_escape(text: str) -> str:
 
 def render_github(findings: list[Finding]) -> list[str]:
     """GitHub Actions workflow-command annotations, one per finding."""
-    lines = []
-    for f in findings:
-        level = "error" if f.severity == Severity.ERROR else "warning"
-        lines.append(
-            f"::{level} file={f.path},line={f.line},col={f.col},"
-            f"title={f.rule}::{_github_escape(f.message)}"
-        )
-    return lines
-
-
-def _gating(findings: list[Finding], strict: bool) -> list[Finding]:
-    if strict:
-        return findings
-    return [f for f in findings if f.severity == Severity.ERROR]
+    return [
+        f"::{f.severity} file={f.path},line={f.line},col={f.col},"
+        f"title={f.rule}::{_github_escape(f.message)}"
+        for f in findings
+    ]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -107,13 +95,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--root", default=".", help="repository root (default: cwd)")
     parser.add_argument(
-        "--strict", action="store_true", help="warnings gate the exit code too"
-    )
-    parser.add_argument(
         "--format",
         choices=("text", "json", "github"),
         default="text",
-        help="report format (github = Actions ::error/::warning annotations)",
+        help="report format (github = Actions ::error annotations)",
     )
     parser.add_argument("--baseline", default=None, help="baseline suppression file")
     parser.add_argument(
@@ -121,7 +106,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="DIRS",
         help="comma-separated extra top-level directories to lint (opt-in "
-        "scope extension, e.g. tests; inventory-sync rules stay scoped)",
+        "scope extension, e.g. tests)",
     )
     parser.add_argument(
         "--call-graph",
@@ -141,7 +126,6 @@ def main(argv: list[str] | None = None) -> int:
         metavar="FILE",
         help="also write the JSON report to FILE (independent of --format)",
     )
-    parser.add_argument("--design", default=None, help="DESIGN.md path (schema rules)")
     parser.add_argument(
         "--rules",
         default=None,
@@ -166,7 +150,6 @@ def main(argv: list[str] | None = None) -> int:
     config = AnalysisConfig(
         root=root,
         dirs=tuple(args.dirs) if args.dirs else DEFAULT_DIRS,
-        design_path=Path(args.design) if args.design else None,
         rule_ids=tuple(args.rules.split(",")) if args.rules else None,
         extra_dirs=tuple(
             d for d in (args.include_dirs or "").split(",") if d
@@ -207,7 +190,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 0
 
-    doc = report_dict(project, findings, suppressed, args.strict, stale)
+    doc = report_dict(project, findings, suppressed, stale)
     if args.format == "json":
         rendered = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     else:
@@ -215,7 +198,6 @@ def main(argv: list[str] | None = None) -> int:
             lines = render_github(findings)
         else:
             lines = [f.render() for f in findings]
-        gating = _gating(findings, args.strict)
         for entry in stale:
             lines.append(
                 "repro-lint: stale baseline entry "
@@ -224,7 +206,7 @@ def main(argv: list[str] | None = None) -> int:
             )
         lines.append(
             f"repro-lint: {project.files_scanned} files, "
-            f"{len(findings)} finding(s) ({len(gating)} gating), "
+            f"{len(findings)} finding(s), "
             f"{suppressed} baselined, {project.inline_suppressed} inline-suppressed"
             + (f", {len(stale)} stale baseline entry(ies)" if stale else "")
         )
@@ -233,7 +215,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.output:
         json_doc = json.dumps(doc, indent=2, sort_keys=True) + "\n"
         Path(args.output).write_text(json_doc, encoding="utf-8")
-    return 1 if _gating(findings, args.strict) else 0
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via main() in tests

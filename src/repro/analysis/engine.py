@@ -5,8 +5,7 @@ top-level directories exactly once, precomputes the per-module facts
 most rules need (import alias table, inline-suppression comments), then
 walks the AST a single time dispatching each node to the rules that
 subscribed to its type.  Cross-file rules accumulate state during the
-walk and report from their ``finalize`` hook, which may also attach
-findings to non-Python files (e.g. DESIGN.md schema drift).
+walk and report from their ``finalize`` hook.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from pathlib import Path
 
 from repro.analysis.astutil import (  # noqa: F401  (re-exported for rules/tests)
     canonical_name,
-    const_str,
     dotted_name,
     import_aliases,
     parse_suppressions,
@@ -36,16 +34,12 @@ class AnalysisConfig:
 
     root: Path
     dirs: tuple[str, ...] = DEFAULT_DIRS
-    design_path: Path | None = None  # default: <root>/DESIGN.md
     rule_ids: tuple[str, ...] | None = None  # None = every registered rule
     # Opt-in extra top-level directories (``--include-dirs``, e.g. tests):
-    # scanned like the defaults, and rules without a path_globs scope and
-    # with ``extra_dirs_ok`` apply there even though the dirs are absent
-    # from their declared ``dirs``.
+    # scanned like the defaults, and rules without a path_globs scope
+    # apply there even though the dirs are absent from their declared
+    # ``dirs``.
     extra_dirs: tuple[str, ...] = ()
-
-    def resolved_design_path(self) -> Path:
-        return self.design_path if self.design_path is not None else self.root / "DESIGN.md"
 
 
 class ModuleContext:
@@ -64,14 +58,13 @@ class ModuleContext:
         ``np.random.seed`` -> ``numpy.random.seed``."""
         return canonical_name(self.imports, node)
 
-    def report(self, rule: Rule, node: ast.AST, message: str, severity: str | None = None) -> None:
+    def report(self, rule: Rule, node: ast.AST, message: str) -> None:
         self.project.report(
             rule,
             path=self.relpath,
             line=getattr(node, "lineno", 0),
             col=getattr(node, "col_offset", -1) + 1,
             message=message,
-            severity=severity,
         )
 
 
@@ -107,7 +100,6 @@ class Project:
         line: int,
         col: int,
         message: str,
-        severity: str | None = None,
     ) -> None:
         line_supp = self._suppressions.get(path, {}).get(line, set())
         if rule.id in line_supp or "all" in line_supp:
@@ -116,27 +108,13 @@ class Project:
         self.findings.append(
             Finding(
                 rule=rule.id,
-                severity=severity or rule.severity,
+                severity=rule.severity,
                 path=path,
                 line=line,
                 col=col,
                 message=message,
             )
         )
-
-    def design_text(self) -> str | None:
-        path = self.config.resolved_design_path()
-        try:
-            return path.read_text(encoding="utf-8")
-        except OSError:
-            return None
-
-    def design_relpath(self) -> str:
-        path = self.config.resolved_design_path()
-        try:
-            return path.relative_to(self.root).as_posix()
-        except ValueError:
-            return path.as_posix()
 
 
 class _InternalErrors(Rule):
@@ -198,8 +176,7 @@ def run_analysis(config: AnalysisConfig, rules: list[Rule] | None = None) -> Pro
         active = [
             r
             for r in rules
-            if r.applies_to(relpath)
-            or (in_extra and r.extra_dirs_ok and r.path_globs is None)
+            if r.applies_to(relpath) or (in_extra and r.path_globs is None)
         ]
         if not active:
             continue

@@ -8,16 +8,14 @@ from typing import Any
 
 
 class Severity:
-    """Finding severities (plain strings so JSON output stays trivial)."""
+    """Finding severities (plain strings so JSON output stays trivial).
+    Every finding gates the exit code, so there is one."""
 
     ERROR = "error"
-    WARNING = "warning"
-
-    ORDER = {ERROR: 0, WARNING: 1}
 
     @classmethod
     def valid(cls, value: str) -> bool:
-        return value in cls.ORDER
+        return value == cls.ERROR
 
 
 @dataclass(frozen=True)

@@ -35,11 +35,8 @@ class Rule:
     #: top-level directories (relative to the root) the rule scans
     dirs: tuple[str, ...] = ("src", "benchmarks", "examples")
     #: optional extra fnmatch globs on the POSIX relpath; None = all files
+    #: (and the rule also covers ``--include-dirs`` opt-in directories)
     path_globs: tuple[str, ...] | None = None
-    #: whether ``--include-dirs`` opt-in directories (tests/, ...) extend
-    #: this rule's scope; rules whose findings only make sense against
-    #: specific inventory files set this to False
-    extra_dirs_ok: bool = True
 
     def applies_to(self, relpath: str) -> bool:
         top = relpath.split("/", 1)[0]

@@ -1,9 +1,10 @@
 """Failure injection into the simulated cluster.
 
 Turns the statistical failure model into concrete events on a
-:class:`~repro.cluster.topology.DataCenter`.  Four event kinds (the
-authoritative list is :data:`FAILURE_KINDS`; the scenario schema and the
-SCN001 lint rule pin themselves to it):
+:class:`~repro.cluster.topology.DataCenter`.  Four event kinds, each
+with one handler; :data:`FAILURE_KINDS` is the handler table's key list,
+and the scenario schema and DESIGN.md's scenario table take it from
+there:
 
 * ``node`` — fail-stop of one node (ooops/disk/memory causes);
 * ``rack`` — rack-correlated burst: every node in the rack fail-stops
@@ -30,11 +31,6 @@ import numpy as np
 
 from repro.cluster.topology import DataCenter
 from repro.simulation.core import Environment, Interrupt
-
-#: Event kinds the injector can execute.  The scenario schema
-#: (``repro.scenarios.schema``) and DESIGN.md document exactly this
-#: vocabulary; SCN001 checks all three stay in sync.
-FAILURE_KINDS = ("node", "rack", "partition", "straggler")
 
 #: Default degradation magnitudes (used by the scenario compiler when a
 #: document omits ``factor``).
@@ -75,7 +71,7 @@ class FailurePlan:
 
     @property
     def degradation_count(self) -> int:
-        return sum(1 for e in self.events if e.kind in ("partition", "straggler"))
+        return sum(1 for e in self.events if e.kind in DEGRADATION_KINDS)
 
 
 def sample_plan(
@@ -180,16 +176,12 @@ class FailureInjector:
 
     # -- per-kind mechanics --------------------------------------------------
     def _inject(self, event: PlannedFailure) -> None:
-        if event.kind == "node":
-            self._inject_node(event)
-        elif event.kind == "rack":
-            self._inject_rack(event)
-        elif event.kind == "partition":
-            self._inject_partition(event)
-        elif event.kind == "straggler":
-            self._inject_straggler(event)
-        else:  # pragma: no cover - plan validation
-            raise ValueError(f"unknown failure kind {event.kind!r}")
+        handler = _HANDLERS.get(event.kind)
+        if handler is None:
+            raise ValueError(
+                f"unknown failure kind {event.kind!r}; choose from {', '.join(FAILURE_KINDS)}"
+            )
+        handler(self, event)
 
     def _inject_node(self, event: PlannedFailure) -> None:
         try:
@@ -253,3 +245,22 @@ class FailureInjector:
             node.disk.bandwidth *= factor
 
         self._schedule_restore(event, undo)
+
+
+# kind -> handler.  Fail-stop kinds kill nodes; degradation kinds slow
+# links or nodes for ``duration`` seconds and are the only kinds that
+# take ``duration``/``factor``.
+_FAIL_STOP = {
+    "node": FailureInjector._inject_node,
+    "rack": FailureInjector._inject_rack,
+}
+_DEGRADATIONS = {
+    "partition": FailureInjector._inject_partition,
+    "straggler": FailureInjector._inject_straggler,
+}
+_HANDLERS = {**_FAIL_STOP, **_DEGRADATIONS}
+
+#: Event kinds the injector can execute, in documentation order.
+FAILURE_KINDS = tuple(_HANDLERS)
+#: The subset of :data:`FAILURE_KINDS` that takes ``duration``/``factor``.
+DEGRADATION_KINDS = tuple(_DEGRADATIONS)

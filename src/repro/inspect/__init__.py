@@ -21,7 +21,6 @@ which phase/HAU is responsible":
 
 from repro.inspect.bundle import (
     BUNDLE_VERSION,
-    PHASE_SPANS,
     build_bundle,
     bundle_id,
     read_bundle,
@@ -32,7 +31,6 @@ from repro.inspect.explain import explain_diff, render_diff_table
 
 __all__ = [
     "BUNDLE_VERSION",
-    "PHASE_SPANS",
     "build_bundle",
     "bundle_id",
     "diff_bundles",

@@ -26,9 +26,8 @@ trailing newline.  ``bundle_id`` is the SHA-256 over the sorted
 yields an identical id, which is what makes the diff engine's
 "identical bundles" short-circuit trustworthy.
 
-The phase vocabulary (:data:`PHASE_SPANS`) mirrors
-``repro.profiling.spans.PHASES`` — the INS001 lint rule keeps the two
-(and the DESIGN.md bundle-schema table) in sync.
+``phases.json`` attributes time over ``repro.profiling.spans.PHASES``,
+the one checkpoint-phase vocabulary.
 """
 
 from __future__ import annotations
@@ -46,11 +45,6 @@ from repro.harness.digest import canonical_json
 # defaulting the section.
 BUNDLE_VERSION = 2
 _READABLE_VERSIONS = frozenset({1, 2})
-
-# Per-HAU checkpoint phase spans a bundle attributes time to.  MUST
-# match repro.profiling.spans.PHASES and the DESIGN.md "Run bundles &
-# diffing" table — INS001 fails --strict on drift in any direction.
-PHASE_SPANS = ("token-wait", "safepoint-wait", "snapshot", "disk-io")
 
 MANIFEST_NAME = "MANIFEST.json"
 

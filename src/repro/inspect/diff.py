@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.inspect.bundle import PHASE_SPANS
+from repro.profiling.spans import PHASES
 
 # Ranked movers are capped (per dimension union) so a 10k-HAU diff stays
 # readable; the full per-dimension tables remain in the diff body.
@@ -73,7 +73,7 @@ def _hau_totals(phases: dict[str, Any] | None) -> dict[str, float]:
     """Per-HAU total phase-span seconds (all phases summed)."""
     out: dict[str, float] = {}
     for hau, buckets in ((phases or {}).get("per_hau") or {}).items():
-        out[hau] = sum(buckets.get(p, 0.0) for p in PHASE_SPANS)
+        out[hau] = sum(buckets.get(p, 0.0) for p in PHASES)
     return out
 
 

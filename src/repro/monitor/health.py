@@ -25,17 +25,18 @@ from __future__ import annotations
 
 from typing import Any
 
-# Health vocabulary.  Literal tuple on purpose — repro-lint's MON001
-# rule diffs it against the DESIGN.md health-state table.
-HEALTH_STATES = (
-    "healthy",
-    "degraded",
-    "alerting",
-    "recovering",
-)
+# Health vocabulary: state -> meaning (the text of DESIGN.md's
+# health-state table, rendered by ``python -m repro.analysis.doctables``),
+# declared in severity order, least severe first.
+HEALTH_STATES = {
+    "healthy": "no active alerts, no failure in progress, staleness within bound",
+    "degraded": "staleness sample over bound, or the HAU's node/rack took an injected failure",
+    "recovering": "recovery/handoff for the entity has started and not yet completed",
+    "alerting": "at least one SLO alert is firing for the entity",
+}
 
 # Worst-member-wins ordering for the rack rollup.
-_SEVERITY = {"healthy": 0, "degraded": 1, "recovering": 2, "alerting": 3}
+_SEVERITY = {state: rank for rank, state in enumerate(HEALTH_STATES)}
 
 
 class HealthTracker:

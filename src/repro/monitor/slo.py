@@ -26,15 +26,33 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, replace
 
-# The SLO vocabulary.  A literal tuple on purpose: repro-lint's MON001
-# rule reads it from the AST and diffs it against the DESIGN.md "Live
-# monitoring & SLOs" table, so docs and code cannot drift.
-SLO_KINDS = (
-    "latency-p99",  # probe/per-HAU p99 tuple latency snapshot per tick
-    "checkpoint-duration",  # per-HAU checkpoint.write.start -> commit seconds
-    "recovery-time",  # recovery.start -> recovery.done seconds
-    "checkpoint-staleness",  # per-HAU seconds since last commit, per tick
-)
+# The SLO vocabulary: kind -> (default bound in seconds, the signal it
+# samples).  Default bounds are sized for the scaled-down harness runs; a
+# scenario's ``monitor.slos`` mapping overrides them per kind.  The signal
+# text is what DESIGN.md's SLO-kind table shows (rendered by
+# ``python -m repro.analysis.doctables``).  Declaration order is
+# evaluation order, which keeps alert logs deterministic.
+SLO_DECLARATIONS: dict[str, tuple[float, str]] = {
+    "latency-p99": (
+        1.0,
+        "max per-HAU p99 of `ms_hau_tuple_latency_seconds` at each tick "
+        "(registry-backed; live runs only)",
+    ),
+    "checkpoint-duration": (
+        5.0,
+        "`checkpoint.write.start` → `checkpoint.commit` span per round",
+    ),
+    "recovery-time": (
+        5.0,
+        "`recovery.start`/`baseline.recover.start` → matching done span",
+    ),
+    "checkpoint-staleness": (
+        60.0,
+        "per-HAU seconds since last commit, sampled each tick (per-subject alerts)",
+    ),
+}
+SLO_KINDS = tuple(SLO_DECLARATIONS)
+DEFAULT_BOUNDS = {kind: bound for kind, (bound, _) in SLO_DECLARATIONS.items()}
 
 # SLO kinds evaluated per HAU (alert subjects are HAU ids); the rest
 # aggregate over the whole run (subject "").
@@ -73,16 +91,6 @@ class SLO:
                 f"need 0 < fast_window <= slow_window, got "
                 f"{self.fast_window!r}/{self.slow_window!r}"
             )
-
-
-# Default bounds, sized for the scaled-down harness runs (seconds).  A
-# scenario's ``monitor.slos`` mapping overrides per kind.
-DEFAULT_BOUNDS = {
-    "latency-p99": 1.0,
-    "checkpoint-duration": 5.0,
-    "recovery-time": 5.0,
-    "checkpoint-staleness": 60.0,
-}
 
 
 def default_slos(

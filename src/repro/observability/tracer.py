@@ -22,43 +22,49 @@ from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from typing import Any
 
-# Dotted event kinds emitted by the instrumented layers.  Kept in one
-# place so the schema is discoverable; emission sites may add new kinds
-# but should document them in DESIGN.md.
-KINDS = (
-    "hau.start",  # an HAU's processes came up (fresh start or restart)
-    "control.send",  # controller -> HAU control-plane message
-    "token.send",  # a checkpoint token left an HAU along one edge
-    "token.recv",  # a checkpoint token landed in an HAU's inbox
-    "checkpoint.round.start",  # a scheme initiated an application checkpoint
-    "checkpoint.command",  # an HAU learned of the round (control msg or first token)
-    "checkpoint.tokens.done",  # an HAU has seen tokens on all of its input edges
-    "checkpoint.start",  # one HAU began its individual checkpoint
-    "checkpoint.write.start",  # the state write to shared storage began
-    "checkpoint.commit",  # the state write completed (version assigned)
-    "checkpoint.round.complete",  # every HAU of the round committed
-    "replay.out",  # post-recovery re-send of saved in-flight outputs
-    "replay.backlog",  # post-recovery re-processing of pre-token backlog
-    "replay.source",  # post-recovery full-speed source replay
-    "failure.inject",  # the injector (or harness) hit a node/rack/link
-    "failure.restore",  # a timed degradation (partition/straggler) healed
-    "failure.detected",  # the controller's watcher observed dead HAUs
-    "recovery.start",  # global rollback began
-    "recovery.hau.start",  # one HAU began its reload/read/deserialise phases
-    "recovery.hau",  # one HAU finished its reload/read/deserialise phases
-    "recovery.reconnect",  # phase 4: controller re-wired the application
-    "recovery.replay",  # preserved source tuples queued for replay
-    "recovery.done",  # global rollback complete
-    "baseline.recover.start",  # 1-safe single-HAU restart began
-    "baseline.recover.done",  # 1-safe single-HAU restart complete
-    "baseline.unrecoverable",  # correlated failure lost a retained buffer
-    "aa.profile",  # MS-aa profiling finished (dynamic HAUs, smax)
-    "aa.turning_point",  # controller processed a turning-point report
-    "aa.alert.enter",  # total dynamic state dropped below smax
-    "aa.decision",  # MS-aa chose a checkpoint instant (icr | deadline)
-    "alert.fire",  # an SLO's burn rate crossed threshold in both windows
-    "alert.resolve",  # a firing SLO's fast-window burn rate dropped back
-)
+# The trace vocabulary: every dotted kind an instrumented layer emits,
+# with the meaning DESIGN.md's trace-schema table shows for it (the table
+# is rendered from this mapping by ``python -m repro.analysis.doctables``).
+# ``tests/test_vocabularies.py`` checks that every ``.emit`` call site
+# names a declared kind and that every declared kind has a call site.
+KINDS = {
+    "hau.start": "an HAU's processes came up (fresh start or restart)",
+    "control.send": "controller → HAU control-plane message",
+    "token.send": "a checkpoint token left an HAU along one edge (round, edge, front flag)",
+    "token.recv": "a checkpoint token landed in an HAU's inbox",
+    "checkpoint.round.start": "a scheme initiated an application checkpoint",
+    "checkpoint.command": "an HAU learned of the round (via control message or first token)",
+    "checkpoint.tokens.done": "an HAU has seen tokens on all of its input edges (edges=N)",
+    "checkpoint.start": "one HAU began its individual checkpoint (mode=sync/async)",
+    "checkpoint.write.start": "the state write to shared storage began",
+    "checkpoint.commit": "the state write completed (bytes, version)",
+    "checkpoint.round.complete": "every HAU of the round committed",
+    "replay.out": "post-recovery re-send of saved in-flight outputs",
+    "replay.backlog": "post-recovery re-processing of pre-token backlog",
+    "replay.source": "post-recovery full-speed source replay",
+    "failure.inject": "the injector (or harness) hit a node, rack or link (kind, cause)",
+    "failure.restore": "a timed degradation (partition/straggler) healed",
+    "failure.detected": "the controller's watcher observed dead HAUs",
+    "recovery.start": "global rollback began",
+    "recovery.hau.start": "one HAU began its reload/read/deserialise phases",
+    "recovery.hau": "one HAU finished its reload/read/deserialise phases",
+    "recovery.reconnect": "phase 4: the controller re-wired the application",
+    "recovery.replay": "preserved source tuples queued for replay",
+    "recovery.done": "global rollback complete (phase totals)",
+    "baseline.recover.start": "1-safe single-HAU restart began",
+    "baseline.recover.done": "1-safe single-HAU restart complete",
+    "baseline.unrecoverable": "a correlated failure lost a retained buffer",
+    "aa.profile": "MS-aa profiling finished (dynamic HAUs, smax)",
+    "aa.turning_point": "the controller processed a turning-point report",
+    "aa.alert.enter": "total dynamic state dropped below smax",
+    "aa.decision": "MS-aa chose a checkpoint instant (icr | deadline)",
+    "alert.fire": "an SLO's burn rate crossed threshold in both windows (slo, subject, burn)",
+    "alert.resolve": "a firing SLO's fast-window burn rate dropped back",
+}
+
+# Namespaces whose kinds are built at run time and forwarded verbatim
+# (``MetricsHub.record_event`` emits ``"metrics." + kind``).
+DYNAMIC_PREFIXES = ("metrics.",)
 
 
 @dataclass(frozen=True)

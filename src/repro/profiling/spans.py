@@ -28,8 +28,7 @@ from typing import Any
 from repro.observability.tracer import NullTracer, TraceEvent, Tracer
 
 # Trace kinds the span builder consumes.  Every entry MUST exist in
-# ``repro.observability.tracer.KINDS`` — enforced by the TRC002 lint
-# rule (see repro.analysis.schema), which fails ``--strict`` on drift.
+# ``repro.observability.tracer.KINDS`` (checked by tests/test_vocabularies.py).
 SPAN_KINDS = (
     "control.send",
     "token.send",
@@ -50,8 +49,9 @@ SPAN_KINDS = (
     "recovery.done",
 )
 
-# Per-HAU checkpoint phases, in causal order (DESIGN.md: "Causal
-# timelines & critical paths").
+# Per-HAU checkpoint phases, in causal order.  The one phase vocabulary:
+# run bundles and their diffs attribute time over it, and DESIGN.md's
+# run-bundle table lists it (rendered by ``python -m repro.analysis.doctables``).
 PHASES = ("token-wait", "safepoint-wait", "snapshot", "disk-io")
 
 

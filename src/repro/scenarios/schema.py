@@ -38,42 +38,70 @@ whole document and returns every :class:`SchemaError`, each carrying a
 values — the errors are meant to be pasted back at the scenario author.
 
 Enums are imported live from the modules that implement them
-(``SCHEME_NAMES``, ``APPS``, ``FAILURE_KINDS``), and the field tuples
-below are plain literals so the ``repro-lint`` SCN001 rule can
-cross-check them against DESIGN.md and the compiler without importing
-anything.
+(``SCHEME_NAMES``, ``APPS``, ``FAILURE_KINDS``, ``DEGRADATION_KINDS``,
+``SLO_KINDS``); :data:`TOP_LEVEL_FIELDS` carries the shape and notes
+DESIGN.md's scenario table shows for each field, and the table is
+rendered from it by ``python -m repro.analysis.doctables``.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Collection
 from dataclasses import dataclass
 from typing import Any
 
 from repro.apps import APPS
 from repro.apps.synth import TopologyError, _check_topology
-from repro.failures.injector import FAILURE_KINDS
+from repro.failures.injector import DEGRADATION_KINDS, FAILURE_KINDS
 from repro.harness.experiment import SCHEME_NAMES
 from repro.monitor.slo import SLO_KINDS
 
 VERSION = 1
 
-# Field registries: literal tuples on purpose — repro-lint's SCN001 rule
-# reads them from the AST and diffs them against DESIGN.md's scenario
-# table, so the docs cannot drift from what the validator accepts.
-TOP_LEVEL_FIELDS = (
-    "id",
-    "version",
-    "description",
-    "app",
-    "seed",
-    "cluster",
-    "run",
-    "scheme",
-    "failures",
-    "monitor",
-    "expect",
-)
+# Top-level fields: name -> (shape, notes), in document order.
+TOP_LEVEL_FIELDS: dict[str, tuple[str, str]] = {
+    "id": ("slug", "required; unique per library, matches [a-z0-9][a-z0-9-]*"),
+    "version": ("int", "required; must equal the library schema version (currently 1)"),
+    "description": ("string", "free text, shown in reports"),
+    "app": (
+        "mapping",
+        "required; {name, params} — name from the APPS registry, params forwarded to its "
+        "build(); synth topologies validate structurally at schema time",
+    ),
+    "seed": ("int", "experiment seed (default 1)"),
+    "cluster": (
+        "mapping",
+        "{workers, spares, racks} (defaults 8/12/2, the digest-baseline shape)",
+    ),
+    "run": (
+        "mapping",
+        "{window, warmup, n_checkpoints, recovery} (defaults 40.0/10.0/2/false)",
+    ),
+    "scheme": (
+        "enum",
+        "required; any SCHEME_NAMES entry except oracle (which needs observed checkpoint "
+        "times)",
+    ),
+    "failures": (
+        "list",
+        "events {at, kind, target, cause, duration, factor}; duration/factor only on the "
+        "degradation kinds, targets are node ids (w3, spare0, storage) or rack ids (rack1) "
+        "checked against the cluster shape",
+    ),
+    "monitor": (
+        "mapping",
+        "{period, slos} — enables the live monitoring plane (`repro.monitor`) at `period` "
+        "sim-second ticks; `slos` maps SLO kind → bound override (kinds from the "
+        "live-monitoring tables below)",
+    ),
+    "expect": (
+        "mapping",
+        "outcome assertions {min_rounds, recovers, min_throughput, alerts} checked by the "
+        "campaign runner; `alerts` rows {slo, subject, fired, resolved} assert minimum alert "
+        "counts from the monitored run's log",
+    ),
+}
 REQUIRED_FIELDS = ("id", "version", "app", "scheme")
 APP_FIELDS = ("name", "params")
 CLUSTER_FIELDS = ("workers", "spares", "racks")
@@ -91,9 +119,6 @@ SCENARIO_SCHEMES = tuple(s for s in SCHEME_NAMES if s != "oracle")
 _ID_RE = re.compile(r"^[a-z0-9][a-z0-9-]{0,63}$")
 _NODE_RE = re.compile(r"^(w|spare)(\d+)$")
 _RACK_RE = re.compile(r"^rack(\d+)$")
-
-# Degradation kinds take duration/factor; kill kinds must not.
-DEGRADATION_KINDS = ("partition", "straggler")
 
 
 @dataclass(frozen=True)
@@ -121,7 +146,9 @@ def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _unknown_keys(mapping: dict, allowed: tuple, path: str, errors: list[SchemaError]) -> None:
+def _unknown_keys(
+    mapping: dict, allowed: Collection[str], path: str, errors: list[SchemaError]
+) -> None:
     for key in sorted(set(mapping) - set(allowed)):
         errors.append(SchemaError(f"{path}.{key}" if path else str(key),
                                   f"unknown field; allowed: {', '.join(allowed)}"))

@@ -14,7 +14,7 @@ canonical.  Values are simulation-derived only, which makes the JSON
 snapshot byte-identical across same-seed runs (the determinism contract
 shared with :mod:`repro.observability`).
 
-Naming convention (documented in DESIGN.md): ``ms_<subsystem>_<what>``
+Naming convention (every name is declared in :data:`METRICS`): ``ms_<subsystem>_<what>``
 with a ``_total`` suffix for counters and a ``_seconds`` / ``_bytes``
 unit suffix where applicable — directly exportable as Prometheus text.
 """
@@ -29,6 +29,95 @@ from repro.telemetry.quantile import P2Quantile
 LabelPairs = tuple[tuple[str, str], ...]
 
 DEFAULT_PERCENTILES = (0.5, 0.95, 0.99)
+
+# The metric vocabulary: name -> (kind, labels, emitted by).  ``kind`` is
+# the registry factory a call site uses; ``labels`` and ``emitted by`` are
+# the text of DESIGN.md's metric-schema table, which is rendered from
+# this mapping by ``python -m repro.analysis.doctables``.
+# ``tests/test_vocabularies.py`` checks that every ``counter``/``gauge``/
+# ``histogram`` call site names a declared metric of that kind and that
+# every declared metric has a call site.
+METRICS: dict[str, tuple[str, str, str]] = {
+    "ms_hau_tuples_total": ("counter", "hau", "`dsps/hau.py` per processed tuple"),
+    "ms_hau_busy_seconds_total": (
+        "counter",
+        "hau",
+        "`dsps/hau.py` service time per processed tuple",
+    ),
+    "ms_hau_tuple_latency_seconds": ("histogram", "hau", "creation→completion latency per tuple"),
+    "ms_hau_tokens_sent_total": ("counter", "hau", "token emission"),
+    "ms_hau_tokens_received_total": ("counter", "hau", "token arrival"),
+    "ms_control_messages_total": (
+        "counter",
+        "direction=down|up",
+        "`dsps/runtime.py` control plane",
+    ),
+    "ms_checkpoint_rounds_total": ("counter", "scheme", "round start"),
+    "ms_checkpoint_rounds_completed_total": ("counter", "scheme", "all HAUs of a round committed"),
+    "ms_checkpoint_write_seconds": ("histogram", "scheme", "per-HAU checkpoint write duration"),
+    "ms_hau_ckpt_write_seconds": (
+        "gauge",
+        "hau",
+        "last checkpoint-write duration, per HAU (`core/base.py`, `core/baseline.py`); "
+        "also a sampler series",
+    ),
+    "ms_checkpoint_bytes_total": ("counter", "scheme", "checkpointed state volume"),
+    "ms_recoveries_total": ("counter", "scheme", "`core/base.py` failure watcher"),
+    "ms_recovery_seconds": ("histogram", "scheme", "`core/base.py` global-rollback duration"),
+    "ms_baseline_recovered_total": ("counter", "", "1-safe single-HAU restarts"),
+    "ms_baseline_unrecoverable_total": (
+        "counter",
+        "cause",
+        "1-safe restarts that lost a retained buffer",
+    ),
+    "ms_holdback_drained_total": ("counter", "hau", "holdback queue drains (src / ap)"),
+    "ms_async_checkpoints_total": ("counter", "scheme", "ms-…+ap asynchronous forks"),
+    "ms_fork_seconds": ("histogram", "scheme", "ms-…+ap fork duration"),
+    "ms_aa_smax_bytes": ("gauge", "", "adaptive-adjustment profiling"),
+    "ms_aa_dynamic_haus": ("gauge", "", "adaptive-adjustment profiling"),
+    "ms_aa_turning_points_total": ("counter", "hau", "AA controller turning-point reports"),
+    "ms_aa_decisions_total": (
+        "counter",
+        "reason=icr|deadline",
+        "AA controller checkpoint decisions",
+    ),
+    "ms_storage_bytes_written_total": ("counter", "namespace", "`storage/shared.py`"),
+    "ms_storage_bytes_read_total": ("counter", "namespace", "`storage/shared.py`"),
+    "ms_failures_injected_total": ("counter", "kind", "`failures/injector.py`"),
+    "ms_kernel_events_popped_total": (
+        "counter",
+        "",
+        "heap pops in `Environment.step()` (`publish_kernel_metrics`)",
+    ),
+    "ms_kernel_pool_hits_total": ("counter", "", "event free-list reuse"),
+    "ms_kernel_pool_misses_total": ("counter", "", "event free-list misses (fresh allocation)"),
+    "ms_sweep_cache_hits_total": ("counter", "", "sweep result-cache hits (`harness/sweep.py`)"),
+    "ms_sweep_cache_misses_total": (
+        "counter",
+        "",
+        "sweep result-cache misses (`harness/sweep.py`)",
+    ),
+    "ms_batch_envelopes_total": (
+        "counter",
+        "",
+        "envelopes flushed by batched channels (`cluster/channel.py`)",
+    ),
+    "ms_batch_tuples_total": ("counter", "", "tuples carried inside flushed envelopes"),
+    "ms_alerts_fired_total": ("counter", "slo", "SLO burn-rate alerts fired (`monitor/plane.py`)"),
+    "ms_alerts_resolved_total": (
+        "counter",
+        "slo",
+        "SLO burn-rate alerts resolved (`monitor/plane.py`)",
+    ),
+    "ms_alerts_active": ("gauge", "", "currently-firing SLO alerts"),
+    "ms_monitor_ticks_total": ("counter", "", "monitoring-plane window evaluations"),
+    "ms_monitor_samples_total": ("counter", "slo", "SLO samples folded into burn-rate windows"),
+    "ms_hau_inbox_depth": ("gauge", "hau", "sampler series: input-queue depth"),
+    "ms_hau_state_bytes": ("gauge", "hau", "sampler series: `state_size()`"),
+    "ms_hau_inflight_tuples": ("gauge", "hau", "sampler series: tuples in flight on out-channels"),
+    "ms_hau_holdback_tuples": ("gauge", "hau", "sampler series: tuples held back behind tokens"),
+    "ms_hau_preserve_bytes": ("gauge", "hau", "sampler series: preservation-buffer bytes"),
+}
 
 
 class Counter:

@@ -26,7 +26,8 @@ DEFAULT_INTERVAL = 1.0
 # to avoid a package-level import cycle through dsps/simulation).
 _PRESERVE_NS = "preserve"
 
-# The per-HAU gauge series the sampler maintains, in export order.
+# The per-HAU gauge series the sampler maintains, in export order (each
+# one is declared in repro.telemetry.registry.METRICS).
 SERIES_METRICS = (
     "ms_hau_inbox_depth",
     "ms_hau_state_bytes",
@@ -107,8 +108,7 @@ class Sampler:
         if metric != "ms_hau_ckpt_write_seconds":
             # write-duration gauges are owned by the checkpoint sites;
             # everything else the sampler keeps current itself.
-            # names come from SERIES_METRICS, each documented in DESIGN.md
-            self.registry.gauge(metric, hau=hau_id).set(value)  # repro-lint: disable=TEL001
+            self.registry.gauge(metric, hau=hau_id).set(value)
 
     def _preserve_bytes(self, hau_id: str) -> float:
         """Retained bytes attributable to this HAU, whichever discipline.

@@ -29,20 +29,16 @@ from repro.analysis.engine import (
 )
 from repro.analysis.findings import Finding, Severity, sort_findings
 from repro.analysis.registry import Rule, all_rules, get_rule, register
-from repro.analysis.scenarios import parse_scenario_schema
-from repro.analysis.schema import parse_metric_schema, parse_trace_schema
 
 import ast
 
 
-def run_fixture(tmp_path, files, design=None, rule_ids=None, dirs=("src",)):
+def run_fixture(tmp_path, files, rule_ids=None, dirs=("src",)):
     """Materialise ``files`` under ``tmp_path`` and run the analysis."""
     for rel, text in files.items():
         p = tmp_path / rel
         p.parent.mkdir(parents=True, exist_ok=True)
         p.write_text(textwrap.dedent(text), encoding="utf-8")
-    if design is not None:
-        (tmp_path / "DESIGN.md").write_text(textwrap.dedent(design), encoding="utf-8")
     config = AnalysisConfig(
         root=tmp_path,
         dirs=dirs,
@@ -436,332 +432,6 @@ def test_proto001_operator_snapshot_without_restore(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# TEL001 — metric names vs DESIGN.md metric schema
-# ---------------------------------------------------------------------------
-
-DESIGN_FIXTURE = """\
-# design
-
-## Trace schema
-
-| prefix | events |
-|---|---|
-| `ckpt.` | `round_started`, `round_done` |
-| `metrics.` | forwarded verbatim by `MetricsHub.record_event` |
-
-## Metric schema
-
-| metric | kind |
-|---|---|
-| `ms_good_total`, `ms_other_total` | counter |
-"""
-
-
-def test_tel001_clean_when_in_sync(tmp_path):
-    project = run_fixture(
-        tmp_path,
-        {
-            "src/m.py": """\
-            def setup(env):
-                env.telemetry.counter("ms_good_total").inc()
-                env.telemetry.counter("ms_other_total").inc()
-            """
-        },
-        design=DESIGN_FIXTURE,
-        rule_ids=["TEL001"],
-    )
-    assert project.findings == []
-
-
-def test_tel001_flags_undocumented_and_dead_metrics(tmp_path):
-    project = run_fixture(
-        tmp_path,
-        {
-            "src/m.py": """\
-            def setup(env):
-                env.telemetry.counter("ms_good_total").inc()
-                env.telemetry.gauge("ms_rogue_bytes").set(1.0)
-            """
-        },
-        design=DESIGN_FIXTURE,
-        rule_ids=["TEL001"],
-    )
-    msgs = {f.message for f in project.findings}
-    assert any("ms_rogue_bytes" in m and "not documented" in m for m in msgs)
-    assert any("ms_other_total" in m and "never emitted" in m for m in msgs)
-    # the dead-metric finding points at the DESIGN.md table row
-    dead = [f for f in project.findings if "never emitted" in f.message]
-    assert dead[0].path == "DESIGN.md"
-
-
-def test_tel001_flags_dynamic_metric_name(tmp_path):
-    project = run_fixture(
-        tmp_path,
-        {
-            "src/m.py": """\
-            def setup(env, name):
-                env.telemetry.counter(name).inc()
-            """
-        },
-        design=DESIGN_FIXTURE,
-        rule_ids=["TEL001"],
-    )
-    assert any("dynamic metric name" in f.message for f in project.findings)
-
-
-def test_tel001_warns_when_design_missing(tmp_path):
-    project = run_fixture(
-        tmp_path,
-        {
-            "src/m.py": """\
-            def setup(env):
-                env.telemetry.counter("ms_x_total").inc()
-            """
-        },
-        rule_ids=["TEL001"],
-    )
-    assert rules_of(project) == ["TEL001"]
-    assert project.findings[0].severity == Severity.WARNING
-
-
-def test_tel001_ignores_non_telemetry_receivers(tmp_path):
-    project = run_fixture(
-        tmp_path,
-        {
-            "src/m.py": """\
-            def setup(env, geiger):
-                env.telemetry.counter("ms_good_total").inc()
-                env.telemetry.counter("ms_other_total").inc()
-                geiger.counter("clicks").inc()
-            """
-        },
-        design=DESIGN_FIXTURE,
-        rule_ids=["TEL001"],
-    )
-    assert project.findings == []
-
-
-# ---------------------------------------------------------------------------
-# TRC001 — trace kinds vs KINDS and DESIGN.md trace schema
-# ---------------------------------------------------------------------------
-
-
-def test_trc001_clean_when_in_sync(tmp_path):
-    project = run_fixture(
-        tmp_path,
-        {
-            "src/tracer.py": """\
-            KINDS = ("ckpt.round_started", "ckpt.round_done")
-
-            def run(trace, kind):
-                trace.emit("ckpt.round_started")
-                trace.emit("ckpt.round_done")
-                trace.emit("metrics." + kind)
-            """
-        },
-        design=DESIGN_FIXTURE,
-        rule_ids=["TRC001"],
-    )
-    assert project.findings == []
-
-
-def test_trc001_flags_emitted_but_undeclared_kind(tmp_path):
-    project = run_fixture(
-        tmp_path,
-        {
-            "src/tracer.py": """\
-            KINDS = ("ckpt.round_started", "ckpt.round_done")
-
-            def run(trace):
-                trace.emit("ckpt.round_started")
-                trace.emit("ckpt.round_done")
-                trace.emit("ckpt.rogue")
-            """
-        },
-        design=DESIGN_FIXTURE,
-        rule_ids=["TRC001"],
-    )
-    assert rules_of(project) == ["TRC001"]
-    assert "ckpt.rogue" in project.findings[0].message
-    assert "not declared in KINDS" in project.findings[0].message
-
-
-def test_trc001_flags_declared_but_never_emitted(tmp_path):
-    project = run_fixture(
-        tmp_path,
-        {
-            "src/tracer.py": """\
-            KINDS = ("ckpt.round_started", "ckpt.round_done")
-
-            def run(trace):
-                trace.emit("ckpt.round_started")
-            """
-        },
-        design=DESIGN_FIXTURE,
-        rule_ids=["TRC001"],
-    )
-    msgs = [f.message for f in project.findings]
-    assert any("ckpt.round_done" in m and "never emitted" in m for m in msgs)
-    # the finding points at the KINDS tuple element
-    f = project.findings[0]
-    assert f.path == "src/tracer.py" and f.line == 1
-
-
-def test_trc001_flags_design_doc_drift_both_directions(tmp_path):
-    design = DESIGN_FIXTURE.replace("`round_started`, `round_done`", "`round_started`, `ghost`")
-    project = run_fixture(
-        tmp_path,
-        {
-            "src/tracer.py": """\
-            KINDS = ("ckpt.round_started", "ckpt.round_done")
-
-            def run(trace):
-                trace.emit("ckpt.round_started")
-                trace.emit("ckpt.round_done")
-            """
-        },
-        design=design,
-        rule_ids=["TRC001"],
-    )
-    msgs = {f.message for f in project.findings}
-    assert any("ckpt.round_done" in m and "not documented" in m for m in msgs)
-    assert any("ckpt.ghost" in m and "not declared in KINDS" in m for m in msgs)
-
-
-def test_trc001_flags_undeclared_dynamic_prefix(tmp_path):
-    design = "\n".join(
-        line
-        for line in DESIGN_FIXTURE.splitlines()
-        if "metrics." not in line
-    )
-    project = run_fixture(
-        tmp_path,
-        {
-            "src/tracer.py": """\
-            KINDS = ("ckpt.round_started", "ckpt.round_done")
-
-            def run(trace, kind):
-                trace.emit("ckpt.round_started")
-                trace.emit("ckpt.round_done")
-                trace.emit("metrics." + kind)
-            """
-        },
-        design=design,
-        rule_ids=["TRC001"],
-    )
-    assert any("metrics." in f.message and "dynamic" in f.message for f in project.findings)
-
-
-def test_trc001_flags_dynamic_kind_without_constant_prefix(tmp_path):
-    project = run_fixture(
-        tmp_path,
-        {
-            "src/tracer.py": """\
-            def run(trace, kind):
-                trace.emit(kind)
-            """
-        },
-        design=DESIGN_FIXTURE,
-        rule_ids=["TRC001"],
-    )
-    assert any("dynamic trace kind" in f.message for f in project.findings)
-
-
-# ---------------------------------------------------------------------------
-# TRC002 — profiling SPAN_KINDS vs tracer KINDS
-# ---------------------------------------------------------------------------
-
-
-def test_trc002_clean_when_span_kinds_subset_of_kinds(tmp_path):
-    project = run_fixture(
-        tmp_path,
-        {
-            "src/tracer.py": 'KINDS = ("ckpt.round_started", "ckpt.round_done")\n',
-            "src/spans.py": 'SPAN_KINDS = ("ckpt.round_started",)\n',
-        },
-        rule_ids=["TRC002"],
-    )
-    assert project.findings == []
-
-
-def test_trc002_flags_span_kind_missing_from_kinds(tmp_path):
-    project = run_fixture(
-        tmp_path,
-        {
-            "src/tracer.py": 'KINDS = ("ckpt.round_started",)\n',
-            "src/spans.py": 'SPAN_KINDS = ("ckpt.round_started", "ckpt.ghost")\n',
-        },
-        rule_ids=["TRC002"],
-    )
-    assert rules_of(project) == ["TRC002"]
-    f = project.findings[0]
-    assert "ckpt.ghost" in f.message and "tracer.KINDS" in f.message
-    assert f.path == "src/spans.py"
-
-
-def test_trc002_quiet_without_a_kinds_inventory(tmp_path):
-    # A fixture tree with SPAN_KINDS but no KINDS tuple anywhere must not
-    # fire: there is no vocabulary to validate against.
-    project = run_fixture(
-        tmp_path,
-        {"src/spans.py": 'SPAN_KINDS = ("ckpt.round_started",)\n'},
-        rule_ids=["TRC002"],
-    )
-    assert project.findings == []
-
-
-def test_trc002_ignores_computed_and_non_name_assignments(tmp_path):
-    project = run_fixture(
-        tmp_path,
-        {
-            "src/tracer.py": 'KINDS = ("a.b",)\n',
-            "src/other.py": """\
-            obj = object()
-            SPAN_KINDS = tuple(sorted(["a.b"]))
-            x, SPAN_KINDS2 = 1, ("a.b",)
-            """,
-        },
-        rule_ids=["TRC002"],
-    )
-    assert project.findings == []
-
-
-def test_repo_span_kinds_match_tracer_kinds():
-    # The real repo invariant TRC002 guards, asserted directly.
-    from repro.observability.tracer import KINDS
-    from repro.profiling import SPAN_KINDS
-
-    assert set(SPAN_KINDS) <= set(KINDS)
-
-
-# ---------------------------------------------------------------------------
-# schema parsers
-# ---------------------------------------------------------------------------
-
-
-def test_parse_metric_schema_first_cell_only():
-    documented = parse_metric_schema(DESIGN_FIXTURE)
-    assert set(documented) == {"ms_good_total", "ms_other_total"}
-    # backticked tokens in later cells (e.g. module paths) never count
-    text = DESIGN_FIXTURE + "| `ms_extra_total` | counter | `ms_not_a_metric` labels |\n"
-    # appended outside the section header scan: re-parse a table inside the section
-    assert "ms_not_a_metric" not in parse_metric_schema(
-        DESIGN_FIXTURE.replace(
-            "| `ms_good_total`, `ms_other_total` | counter |",
-            "| `ms_good_total`, `ms_other_total` | counter about `ms_not_a_metric` |",
-        )
-    )
-    del text
-
-
-def test_parse_trace_schema_kinds_and_dynamic_prefixes():
-    kinds, dynamic = parse_trace_schema(DESIGN_FIXTURE)
-    assert set(kinds) == {"ckpt.round_started", "ckpt.round_done"}
-    assert dynamic == {"metrics."}
-    # CamelCase prose tokens (MetricsHub.record_event) are not events
-
-
-# ---------------------------------------------------------------------------
 # engine plumbing
 # ---------------------------------------------------------------------------
 
@@ -793,7 +463,7 @@ def test_inline_suppression_does_not_hide_other_rules(tmp_path):
             import time
 
             def tick():
-                return time.time()  # repro-lint: disable=TEL001
+                return time.time()  # repro-lint: disable=DET002
             """
         },
         rule_ids=["DET001"],
@@ -903,13 +573,11 @@ def test_baseline_apply_empty_is_identity():
 # ---------------------------------------------------------------------------
 
 
-def write_repo(tmp_path, files, design=None):
+def write_repo(tmp_path, files):
     for rel, text in files.items():
         p = tmp_path / rel
         p.parent.mkdir(parents=True, exist_ok=True)
         p.write_text(textwrap.dedent(text), encoding="utf-8")
-    if design is not None:
-        (tmp_path / "DESIGN.md").write_text(textwrap.dedent(design), encoding="utf-8")
 
 
 def test_cli_exit_zero_on_clean_repo(tmp_path, capsys):
@@ -926,17 +594,6 @@ def test_cli_exit_one_on_violation(tmp_path, capsys):
     assert "DET001" in out and "src/m.py:4" in out
 
 
-def test_cli_strict_gates_warnings(tmp_path, capsys):
-    # telemetry emitted with no DESIGN.md -> a single TEL001 *warning*
-    write_repo(
-        tmp_path,
-        {"src/m.py": 'def f(env):\n    env.telemetry.counter("ms_x_total").inc()\n'},
-    )
-    assert main(["--root", str(tmp_path)]) == 0
-    capsys.readouterr()
-    assert main(["--root", str(tmp_path), "--strict"]) == 1
-
-
 def test_cli_exit_two_on_bad_root_and_bad_baseline(tmp_path, capsys):
     assert main(["--root", str(tmp_path / "missing")]) == 2
     write_repo(tmp_path, {"src/m.py": "x = 1\n"})
@@ -951,7 +608,6 @@ def test_cli_json_report_schema(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert set(doc) == {
         "version",
-        "strict",
         "dirs",
         "extra_dirs",
         "files_scanned",
@@ -1052,19 +708,6 @@ def test_cli_include_dirs_extends_scope(tmp_path, capsys):
     assert "tests/t.py" in out and "DET005" in out
 
 
-def test_cli_include_dirs_skips_inventory_rules(tmp_path, capsys):
-    # TEL001-style inventory rules don't apply to opted-in extra dirs:
-    # telemetry in a test helper needs no DESIGN.md registration.
-    write_repo(
-        tmp_path,
-        {
-            "src/m.py": "def f():\n    return 1\n",
-            "tests/t.py": 'def probe(env):\n    env.telemetry.counter("ms_x_total").inc()\n',
-        },
-    )
-    assert main(["--root", str(tmp_path), "--include-dirs", "tests", "--strict"]) == 0
-
-
 def test_cli_github_format(tmp_path, capsys):
     write_repo(tmp_path, violation_files())
     assert main(["--root", str(tmp_path), "--format", "github"]) == 1
@@ -1143,404 +786,9 @@ def test_cli_stale_baseline_lifecycle(tmp_path, capsys):
 
 
 def test_repo_is_clean_under_strict(capsys):
-    """The acceptance gate: the real tree passes --strict with no baseline."""
+    """The acceptance gate: the real tree, tests included, lints clean
+    with no baseline (every finding gates the exit code)."""
     import pathlib
 
     root = pathlib.Path(__file__).resolve().parents[1]
-    assert main(["--root", str(root), "--strict"]) == 0
-
-
-# ---------------------------------------------------------------------------
-# SCN001 — scenario schema sync (validator / injector / DESIGN.md)
-# ---------------------------------------------------------------------------
-
-_SCN_INJECTOR = """
-    FAILURE_KINDS = ("node", "rack")
-
-    class FailureInjector:
-        def _inject(self, event):
-            pass
-
-        def _inject_node(self, event):
-            pass
-
-        def _inject_rack(self, event):
-            pass
-"""
-
-_SCN_SCHEMA = """
-    TOP_LEVEL_FIELDS = ("id", "app", "failures")
-    DEGRADATION_KINDS = ()
-"""
-
-_SCN_DESIGN = """
-    ## Scenario schema (repro.scenarios)
-
-    | field | shape | notes |
-    |---|---|---|
-    | `id` | slug | required |
-    | `app` | mapping | required |
-    | `failures` | list | kinds `node`, `rack` |
-"""
-
-
-def test_scn001_quiet_when_everything_in_sync(tmp_path):
-    project = run_fixture(
-        tmp_path,
-        {"src/injector.py": _SCN_INJECTOR, "src/schema.py": _SCN_SCHEMA},
-        design=_SCN_DESIGN,
-        rule_ids=["SCN001"],
-    )
-    assert rules_of(project) == []
-
-
-def test_scn001_kind_without_inject_handler(tmp_path):
-    injector = _SCN_INJECTOR.replace(
-        'FAILURE_KINDS = ("node", "rack")',
-        'FAILURE_KINDS = ("node", "rack", "gamma-ray")',
-    )
-    project = run_fixture(
-        tmp_path,
-        {"src/injector.py": injector, "src/schema.py": _SCN_SCHEMA},
-        design=_SCN_DESIGN.replace("`node`, `rack`", "`node`, `rack`, `gamma-ray`"),
-        rule_ids=["SCN001"],
-    )
-    messages = [f.message for f in project.findings]
-    assert any("no `_inject_gamma-ray` handler" in m for m in messages)
-
-
-def test_scn001_handler_without_declared_kind(tmp_path):
-    injector = _SCN_INJECTOR + "\n    def _inject_flood(self, event):\n        pass\n"
-    project = run_fixture(
-        tmp_path,
-        {"src/injector.py": injector, "src/schema.py": _SCN_SCHEMA},
-        design=_SCN_DESIGN,
-        rule_ids=["SCN001"],
-    )
-    messages = [f.message for f in project.findings]
-    assert any("`_inject_flood` exists" in m and "not declared" in m for m in messages)
-
-
-def test_scn001_field_drift_both_directions(tmp_path):
-    schema = _SCN_SCHEMA.replace(
-        '("id", "app", "failures")', '("id", "app", "failures", "retries")'
-    )
-    design = _SCN_DESIGN + "    | `budget` | int | undeclared |\n"
-    project = run_fixture(
-        tmp_path,
-        {"src/injector.py": _SCN_INJECTOR, "src/schema.py": schema},
-        design=design,
-        rule_ids=["SCN001"],
-    )
-    messages = [f.message for f in project.findings]
-    assert any("`retries`" in m and "undocumented" in m for m in messages)
-    assert any("`budget`" in m and "validator rejects it" in m for m in messages)
-
-
-def test_scn001_degradation_kind_must_be_failure_kind(tmp_path):
-    schema = _SCN_SCHEMA.replace(
-        "DEGRADATION_KINDS = ()", 'DEGRADATION_KINDS = ("brownout",)'
-    )
-    project = run_fixture(
-        tmp_path,
-        {"src/injector.py": _SCN_INJECTOR, "src/schema.py": schema},
-        design=_SCN_DESIGN,
-        rule_ids=["SCN001"],
-    )
-    messages = [f.message for f in project.findings]
-    assert any("`brownout`" in m and "not a FAILURE_KINDS member" in m for m in messages)
-
-
-def test_scn001_documented_kind_not_declared(tmp_path):
-    design = _SCN_DESIGN.replace("`node`, `rack`", "`node`, `rack`, `quake`")
-    project = run_fixture(
-        tmp_path,
-        {"src/injector.py": _SCN_INJECTOR, "src/schema.py": _SCN_SCHEMA},
-        design=design,
-        rule_ids=["SCN001"],
-    )
-    messages = [f.message for f in project.findings]
-    assert any("`quake`" in m and "FAILURE_KINDS" in m for m in messages)
-
-
-def test_scn001_warns_without_design_section(tmp_path):
-    project = run_fixture(
-        tmp_path,
-        {"src/injector.py": _SCN_INJECTOR, "src/schema.py": _SCN_SCHEMA},
-        design="# nothing relevant\n",
-        rule_ids=["SCN001"],
-    )
-    findings = [f for f in project.findings if f.rule == "SCN001"]
-    assert len(findings) == 1
-    assert findings[0].severity is Severity.WARNING
-    assert "no scenario-schema" in findings[0].message
-
-
-def test_scn001_silent_without_scenario_dsl(tmp_path):
-    project = run_fixture(
-        tmp_path,
-        {"src/other.py": "X = 1\n"},
-        design=_SCN_DESIGN,
-        rule_ids=["SCN001"],
-    )
-    assert rules_of(project) == []
-
-
-def test_parse_scenario_schema_fields_and_kinds():
-    import textwrap as _tw
-
-    fields, kinds = parse_scenario_schema(_tw.dedent(_SCN_DESIGN))
-    assert set(fields) == {"id", "app", "failures"}
-    assert set(kinds) == {"node", "rack"}
-    # tokens outside the failures row never count as kinds
-    assert "slug" not in kinds and "mapping" not in kinds
-
-
-def test_live_tree_scn001_clean():
-    """The real src/ + DESIGN.md must satisfy SCN001 (the CI gate)."""
-    from pathlib import Path
-
-    root = Path(__file__).resolve().parent.parent
-    config = AnalysisConfig(root=root, dirs=("src",), rule_ids=("SCN001",))
-    project = run_analysis(config)
-    assert [f.message for f in project.findings] == []
-
-
-# ---------------------------------------------------------------------------
-# INS001 — inspect phase-span sync (profiler / bundle / DESIGN.md)
-# ---------------------------------------------------------------------------
-
-_INS_SPANS = """
-    PHASES = ("token-wait", "snapshot")
-"""
-
-_INS_BUNDLE = """
-    PHASE_SPANS = ("token-wait", "snapshot")
-"""
-
-_INS_DESIGN = """
-    ## Run bundles & diffing (repro.inspect)
-
-    | file | contents |
-    |---|---|
-    | `MANIFEST.json` | hashes |
-    | `phases.json` | totals over the phases `token-wait`, `snapshot` |
-"""
-
-
-def _ins_fixture(tmp_path, spans=_INS_SPANS, bundle=_INS_BUNDLE, design=_INS_DESIGN):
-    return run_fixture(
-        tmp_path,
-        {
-            "src/repro/profiling/spans.py": spans,
-            "src/repro/inspect/bundle.py": bundle,
-        },
-        design=design,
-        rule_ids=["INS001"],
-    )
-
-
-def test_ins001_quiet_when_everything_in_sync(tmp_path):
-    assert rules_of(_ins_fixture(tmp_path)) == []
-
-
-def test_ins001_profiler_phase_missing_from_bundle(tmp_path):
-    spans = _INS_SPANS.replace('"snapshot")', '"snapshot", "disk-io")')
-    project = _ins_fixture(tmp_path, spans=spans)
-    messages = [f.message for f in project.findings]
-    assert any("`disk-io`" in m and "silently vanish" in m for m in messages)
-
-
-def test_ins001_bundle_phase_profiler_never_emits(tmp_path):
-    bundle = _INS_BUNDLE.replace('"snapshot")', '"snapshot", "warp")')
-    design = _INS_DESIGN.replace("`snapshot`", "`snapshot`, `warp`")
-    project = _ins_fixture(tmp_path, bundle=bundle, design=design)
-    messages = [f.message for f in project.findings]
-    assert any("`warp`" in m and "cannot occur" in m for m in messages)
-
-
-def test_ins001_order_mismatch(tmp_path):
-    bundle = 'PHASE_SPANS = ("snapshot", "token-wait")\n'
-    project = _ins_fixture(tmp_path, bundle=bundle)
-    messages = [f.message for f in project.findings]
-    assert any("different order" in m for m in messages)
-
-
-def test_ins001_documented_drift_both_directions(tmp_path):
-    spans = _INS_SPANS.replace('"snapshot")', '"snapshot", "disk-io")')
-    bundle = _INS_BUNDLE.replace('"snapshot")', '"snapshot", "disk-io")')
-    design = _INS_DESIGN.replace("`snapshot`", "`snapshot`, `mystery-wait`")
-    project = _ins_fixture(tmp_path, spans=spans, bundle=bundle, design=design)
-    messages = [f.message for f in project.findings]
-    assert any("`disk-io`" in m and "undocumented" in m for m in messages)
-    assert any("`mystery-wait`" in m and "not declared" in m for m in messages)
-
-
-def test_ins001_warns_without_design_table(tmp_path):
-    project = _ins_fixture(tmp_path, design="# nothing relevant\n")
-    findings = [f for f in project.findings if f.rule == "INS001"]
-    assert len(findings) == 1
-    assert findings[0].severity is Severity.WARNING
-    assert "no `phases.json` row" in findings[0].message
-
-
-def test_ins001_silent_without_inspect_layer(tmp_path):
-    project = run_fixture(
-        tmp_path,
-        {"src/repro/profiling/spans.py": _INS_SPANS},
-        design=_INS_DESIGN,
-        rule_ids=["INS001"],
-    )
-    assert rules_of(project) == []
-
-
-def test_ins001_ignores_tuples_outside_tracked_paths(tmp_path):
-    # a PHASE_SPANS in some unrelated module must not be harvested
-    project = run_fixture(
-        tmp_path,
-        {
-            "src/repro/profiling/spans.py": _INS_SPANS,
-            "src/repro/inspect/bundle.py": _INS_BUNDLE,
-            "src/other.py": 'PHASE_SPANS = ("bogus",)\n',
-        },
-        design=_INS_DESIGN,
-        rule_ids=["INS001"],
-    )
-    assert rules_of(project) == []
-
-
-def test_parse_bundle_phases_table():
-    import textwrap as _tw
-
-    from repro.analysis.inspect_rule import parse_bundle_phases
-
-    phases = parse_bundle_phases(_tw.dedent(_INS_DESIGN))
-    assert set(phases) == {"token-wait", "snapshot"}
-    # tokens outside the phases.json row never count
-    assert "hashes" not in phases and "file" not in phases
-
-
-def test_live_tree_ins001_clean():
-    """The real src/ + DESIGN.md must satisfy INS001 (the CI gate)."""
-    from pathlib import Path
-
-    root = Path(__file__).resolve().parent.parent
-    config = AnalysisConfig(root=root, dirs=("src",), rule_ids=("INS001",))
-    project = run_analysis(config)
-    assert [f.message for f in project.findings] == []
-
-
-# ---------------------------------------------------------------------------
-# MON001 — monitoring vocabulary sync (SLO kinds / health states / DESIGN.md)
-# ---------------------------------------------------------------------------
-
-_MON_SLO = """
-    SLO_KINDS = ("latency-p99", "checkpoint-staleness")
-"""
-
-_MON_HEALTH = """
-    HEALTH_STATES = ("healthy", "degraded")
-"""
-
-_MON_DESIGN = """
-    ## Live monitoring & SLOs (repro.monitor)
-
-    ### SLO kinds
-
-    | kind | signal |
-    |---|---|
-    | `latency-p99` | p99 of `ms_hau_tuple_latency_seconds` |
-    | `checkpoint-staleness` | seconds since last commit |
-
-    ### Health states
-
-    | state | meaning |
-    |---|---|
-    | `healthy` | fine — prose mentions of `latency-p99` never count |
-    | `degraded` | a sample went over bound |
-"""
-
-
-def _mon_fixture(tmp_path, slo=_MON_SLO, health=_MON_HEALTH, design=_MON_DESIGN):
-    return run_fixture(
-        tmp_path,
-        {
-            "src/repro/monitor/slo.py": slo,
-            "src/repro/monitor/health.py": health,
-        },
-        design=design,
-        rule_ids=["MON001"],
-    )
-
-
-def test_mon001_quiet_when_in_sync(tmp_path):
-    assert rules_of(_mon_fixture(tmp_path)) == []
-
-
-def test_mon001_declared_but_undocumented(tmp_path):
-    slo = _MON_SLO.replace('"checkpoint-staleness")', '"checkpoint-staleness", "recovery-time")')
-    project = _mon_fixture(tmp_path, slo=slo)
-    messages = [f.message for f in project.findings]
-    assert any("`recovery-time`" in m and "not documented" in m for m in messages)
-
-
-def test_mon001_documented_but_undeclared(tmp_path):
-    design = _MON_DESIGN + "    | `recovering` | documented only |\n"
-    project = _mon_fixture(tmp_path, design=design)
-    findings = [f for f in project.findings if f.rule == "MON001"]
-    assert len(findings) == 1
-    assert "`recovering`" in findings[0].message
-    assert "HEALTH_STATES" in findings[0].message
-    assert findings[0].path.endswith("DESIGN.md")
-
-
-def test_mon001_first_cell_and_subsection_scoping():
-    from repro.analysis.monitor_rule import parse_monitor_schema
-
-    documented = parse_monitor_schema(textwrap.dedent(_MON_DESIGN))
-    assert set(documented["SLO_KINDS"]) == {"latency-p99", "checkpoint-staleness"}
-    assert set(documented["HEALTH_STATES"]) == {"healthy", "degraded"}
-    # nothing documented outside the live-monitoring section
-    assert parse_monitor_schema("## Other\n| `healthy` | x |\n") == {
-        "SLO_KINDS": {},
-        "HEALTH_STATES": {},
-    }
-
-
-def test_mon001_non_literal_vocabulary_rejected(tmp_path):
-    project = _mon_fixture(tmp_path, health="HEALTH_STATES = tuple(x for x in y)\n")
-    messages = [f.message for f in project.findings]
-    assert any("literal tuple/list" in m for m in messages)
-
-
-def test_mon001_warns_when_design_missing(tmp_path):
-    project = run_fixture(
-        tmp_path,
-        {"src/repro/monitor/slo.py": _MON_SLO},
-        rule_ids=["MON001"],
-    )
-    findings = [f for f in project.findings if f.rule == "MON001"]
-    assert len(findings) == 1
-    assert findings[0].severity is Severity.WARNING
-
-
-def test_mon001_ignores_vocabulary_outside_monitor_paths(tmp_path):
-    project = run_fixture(
-        tmp_path,
-        {"src/other.py": 'SLO_KINDS = ("bogus",)\n'},
-        design=_MON_DESIGN,
-        rule_ids=["MON001"],
-    )
-    # only the documented-but-undeclared direction is impossible to hit
-    # here: with no tracked declarations at all, the rule stays silent
-    assert rules_of(project) == []
-
-
-def test_live_tree_mon001_clean():
-    """The real src/ + DESIGN.md must satisfy MON001 (the CI gate)."""
-    from pathlib import Path
-
-    root = Path(__file__).resolve().parent.parent
-    config = AnalysisConfig(root=root, dirs=("src",), rule_ids=("MON001",))
-    project = run_analysis(config)
-    assert [f.message for f in project.findings] == []
+    assert main(["--root", str(root), "--include-dirs", "tests"]) == 0

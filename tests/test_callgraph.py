@@ -16,7 +16,6 @@ def build_graph(tmp_path, files):
         p = tmp_path / rel
         p.parent.mkdir(parents=True, exist_ok=True)
         p.write_text(textwrap.dedent(text), encoding="utf-8")
-    (tmp_path / "DESIGN.md").write_text("", encoding="utf-8")
     project = run_analysis(AnalysisConfig(root=tmp_path, dirs=("src",), rule_ids=()))
     assert project.callgraph is not None
     return project.callgraph

@@ -133,3 +133,14 @@ def test_injector_unknown_node_ignored():
     plan = FailurePlan(events=[PlannedFailure(at=0.5, kind="node", target="nope")])
     FailureInjector(env, dc, plan).start()
     env.run(until=1.0)  # must not raise
+
+
+def test_injector_rejects_unknown_failure_kind():
+    env = Environment()
+    dc = DataCenter(env, ClusterSpec(workers=2, spares=0, racks=1))
+    event = PlannedFailure(at=0.5, kind="gamma-ray", target="w0")
+    inj = FailureInjector(env, dc, FailurePlan(events=[event]))
+    with pytest.raises(ValueError, match="'gamma-ray'") as err:
+        inj._inject(event)
+    assert "node, rack, partition, straggler" in str(err.value)
+    assert inj.injected == []

@@ -18,7 +18,6 @@ def run_fixture(tmp_path, files, rule_ids=None, dirs=("src",)):
         p = tmp_path / rel
         p.parent.mkdir(parents=True, exist_ok=True)
         p.write_text(textwrap.dedent(text), encoding="utf-8")
-    (tmp_path / "DESIGN.md").write_text("", encoding="utf-8")
     config = AnalysisConfig(
         root=tmp_path,
         dirs=dirs,

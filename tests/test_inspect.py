@@ -22,7 +22,6 @@ import pytest
 
 from repro.harness import ExperimentConfig, run_experiment
 from repro.inspect import (
-    PHASE_SPANS,
     build_bundle,
     diff_bundles,
     diff_reports,
@@ -34,6 +33,7 @@ from repro.inspect import (
 )
 from repro.inspect.bundle import BundleError
 from repro.inspect.cli import main
+from repro.profiling.spans import PHASES
 
 
 def small_config(**kwargs):
@@ -176,9 +176,10 @@ def test_same_seed_experiments_write_byte_identical_bundles(tmp_path):
 
 
 def test_phase_spans_vocabulary_matches_profiler():
-    from repro.profiling.spans import PHASES
+    # diffs attribute over the profiler's own phase tuple, not a copy
+    from repro.inspect import diff
 
-    assert PHASE_SPANS == PHASES
+    assert diff.PHASES is PHASES
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +279,7 @@ def test_straggler_delta_attributed_to_correct_phase_and_hau():
     # phase attribution: disk-io grew by exactly the injected seconds ...
     assert diff["phases"]["disk-io"]["delta"] == pytest.approx(extra)
     # ... and the other three phases did not move
-    for phase in PHASE_SPANS:
+    for phase in PHASES:
         if phase != "disk-io":
             assert diff["phases"][phase]["delta"] == 0.0
 
