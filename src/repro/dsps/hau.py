@@ -318,7 +318,7 @@ class HAURuntime:
             "hau_id": self.hau_id,
             "round_id": round_id,
             "operators": self.snapshot_operators(),
-            "backlog": list(backlog),
+            "backlog": backlog,
             "out_tuples": list(extra_out or []),
             "out_seq": dict(self._out_seq),
             "in_seq": dict(self._in_seq),

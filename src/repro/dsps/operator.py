@@ -3,8 +3,17 @@
 Mirrors the paper's C++ operator class (§III-C1, Fig. 9): developers
 implement per-port processing; operator state is the instance's declared
 state attributes; ``state_size()`` is derived mechanically.  Here the
-"precompiler" is replaced by :mod:`repro.state` hints, and snapshots are
-deep copies of the declared state attributes.
+"precompiler" is replaced by :mod:`repro.state` hints.
+
+Snapshots copy each declared state attribute one container deep (see
+:func:`_copy_state`), the host-side analogue of the paper's copy-on-write
+``fork()``: a ``list``/``dict``/``set`` is copied, its elements are
+shared with the live state.  That makes one rule part of the operator
+contract: **elements of a state container are values — replace them,
+never mutate them in place.**  Appending, popping, reassigning
+``self.pool = []`` or ``self.table[key] = new`` are all fine; editing
+an element object that is already in the container is not
+(``REPRO_SAN=1`` detects it at restore time).
 
 Determinism contract: given the same input tuples in the same per-port
 order, an operator must produce the same outputs and state.  Meteor
@@ -44,6 +53,26 @@ class OperatorContext:
     rng: np.random.Generator
 
 
+_SHARED_TYPES = frozenset({int, float, bool, str, bytes, type(None)})
+_SHALLOW_TYPES = frozenset({list, dict, set})
+
+
+def _copy_state(value: Any) -> Any:
+    """Copy one state attribute for a snapshot or a restore.
+
+    Immutable scalars are returned as they are; a ``list``, ``dict`` or
+    ``set`` is copied one level (its elements are shared, per the
+    value-element rule above); anything else — numpy arrays, user
+    objects, container subclasses — is deep-copied.
+    """
+    cls = value.__class__
+    if cls in _SHARED_TYPES:
+        return value
+    if cls in _SHALLOW_TYPES:
+        return value.copy()
+    return copy.deepcopy(value)
+
+
 # Default CPU cost model: a 2.3 GHz core moving/working a byte of tuple.
 # ~50 MB/s of per-core tuple-processing throughput is in line with the
 # paper's applications (image kernels on 1.7 GB VMs).
@@ -57,6 +86,10 @@ class Operator:
     Subclasses define ``state_attrs`` (names of instance attributes that
     constitute operator state) and optionally ``state_hints`` for sampled
     size estimation, then implement :meth:`on_tuple`.
+
+    :meth:`snapshot` and :meth:`restore` copy state containers but share
+    their elements, so an operator must treat container elements as
+    values: it may add, remove or replace them, never mutate one in place.
     """
 
     #: instance attribute names that make up the operator's state
@@ -88,12 +121,14 @@ class Operator:
         return estimate_state_size(self)
 
     def snapshot(self) -> dict[str, Any]:
-        """Deep-copy the declared state attributes."""
-        return {attr: copy.deepcopy(getattr(self, attr)) for attr in self.state_attrs}
+        """Copy the declared state attributes (elements are shared)."""
+        return {attr: _copy_state(getattr(self, attr)) for attr in self.state_attrs}
 
     def restore(self, snap: dict[str, Any]) -> None:
+        # Copy again so later appends to the live state never reach the
+        # stored snapshot, which may be restored more than once.
         for attr, value in snap.items():
-            setattr(self, attr, copy.deepcopy(value))
+            setattr(self, attr, _copy_state(value))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<{type(self).__name__} {self.name!r}>"

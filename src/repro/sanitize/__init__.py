@@ -16,6 +16,10 @@ analysis cannot prove at runtime:
   writes to an operator's declared ``state_attrs`` must come from the
   HAU that hosts it, tracked through a generator trampoline around the
   runtime's process loops;
+* **snapshot value elements** (same module) — snapshots share container
+  elements with the live state, so ``restore()`` re-checks a pickle
+  fingerprint taken at ``snapshot()`` time and fails if an element was
+  mutated in place in between;
 * **iteration-order canary** (``python -m repro.sanitize``) — runs the
   digest gate under two ``PYTHONHASHSEED`` values and requires
   bit-identical digests, catching hash-order dependence end to end.
